@@ -2,7 +2,6 @@ package repro.jobs
 
 import org.apache.spark.sql.SparkSession
 import repro.core.Diablo
-import repro.local.LocalBackend.{ArrayD, ScalarD}
 import repro.programs.Benchmarks
 import repro.spark.SparkBackend
 import repro.spark.SparkBackend.{SArr, SScalar}
@@ -27,12 +26,8 @@ object RunBenchmark {
       .getOrCreate()
 
     val code = Diablo.compile(p.source, p.sigs)
-    val state = p.data(scale, seed).map {
-      case (n, ScalarD(v))        => n -> SScalar(v)
-      case (n, a @ ArrayD(_, ka)) =>
-        n -> SArr(Some(SparkBackend.arrayToDF(spark, a)), ka)
-    }
-    val result = SparkBackend.run(code, state, spark)
+    val result = SparkBackend.run(code,
+      SparkBackend.fromLocal(spark, p.data(scale, seed)), spark)
     for (o <- p.outputs) result(o) match {
       case SScalar(v)        => println(s"$o = $v")
       case SArr(Some(df), _) =>

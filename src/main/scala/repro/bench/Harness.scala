@@ -2,14 +2,13 @@ package repro.bench
 
 import org.apache.spark.sql.SparkSession
 import repro.baselines.{CasperSim, MoldSim}
-import repro.core.{Diablo, Optimize, Parser, Translate}
+import repro.core.Diablo
 import repro.local.LocalBackend
 import repro.programs.Benchmarks
 import repro.programs.Benchmarks.ProgramSpec
 import repro.spark.SparkBackend
 import repro.spark.SparkBackend.{SArr, SScalar, SValue}
 import repro.handwritten.HandWritten
-import repro.local.LocalBackend.{ArrayD, Rec, ScalarD}
 
 /** Benchmark harnesses, one per paper table. Each prints the paper's
   * numbers next to ours so the reader can diff shapes (see EXPERIMENTS.md).
@@ -56,9 +55,8 @@ object Harness {
       casperPaper: String, casperSim: String,
       diabloPaper: String, diabloMs: Double)
 
-  def diabloCompileMs(p: ProgramSpec): Double = timeMs(4) {
-    Optimize.optimize(Translate.translate(Parser.parse(p.source), p.sigs))
-  }
+  def diabloCompileMs(p: ProgramSpec): Double =
+    timeMs(4)(Diablo.compile(p.source, p.sigs))
 
   def table1(casperBudgetMs: Long = 60000): List[Table1Row] =
     Benchmarks.table1.map { p =>
@@ -182,12 +180,11 @@ object Harness {
     Benchmarks.table2.map { p =>
       val scale = figure3Scales(p.name)
       val data = p.data(scale, 42)
-      val state: Map[String, SValue] = data.map {
-        case (n, ScalarD(v)) => n -> SScalar(v)
-        case (n, a @ ArrayD(_, ka)) =>
-          val df = SparkBackend.arrayToDF(spark, a).cache()
-          df.count() // materialize inputs outside the timed region
+      val state = SparkBackend.fromLocal(spark, data).map {
+        case (n, SArr(Some(df), ka)) =>
+          df.cache().count() // materialize inputs outside the timed region
           n -> SArr(Some(df), ka)
+        case other => other
       }
       val code = Diablo.compile(p.source, p.sigs)
       val diabloMs = timeMs(3) {

@@ -1,15 +1,16 @@
 package repro.local
 
 import repro.core.Comprehension._
+import repro.core.Plan
+import repro.core.Plan._
 import repro.core.Translate._
 import scala.collection.parallel.CollectionConverters._
 
 /** In-memory backend for DIABLO target code.
   *
-  * Arrays are hash maps from flat key lists to values; comprehensions are
-  * evaluated as streams of variable bindings with hash-join optimization
-  * (an array generator whose index variables are determined by equality
-  * predicates becomes a map lookup instead of a scan).
+  * Arrays are hash maps from flat key lists to values; comprehension plans
+  * (`core.Plan`) are evaluated as streams of variable bindings, and a scan
+  * whose plan fixes index positions becomes a map lookup.
   *
   * Two modes (paper Table 2): *sequential*, and *parallel* via Scala
   * parallel collections — the leading generator is split into chunks, each
@@ -98,9 +99,7 @@ object LocalBackend {
 
   type Env = Map[String, Any]
 
-  /** Evaluate a generator-free expression. CReduce over a single binding is
-    * the binding itself (the driver path of rule 16).
-    */
+  /** Evaluate a generator-free expression. */
   def evalExpr(e: CExpr, env: Env, scalar: String => Any): Any = e match {
     case CVar(n)   => env.getOrElse(n,
       throw new NoSuchElementException(s"unbound comprehension variable $n"))
@@ -144,88 +143,21 @@ object LocalBackend {
     case CIf(c, t, f) =>
       if (evalExpr(c, env, scalar).asInstanceOf[Boolean]) evalExpr(t, env, scalar)
       else evalExpr(f, env, scalar)
-    case CReduce(_, b)     => evalExpr(b, env, scalar) // singleton bag
     case CCombine(m, l, r) => combine(m, evalExpr(l, env, scalar), evalExpr(r, env, scalar))
     case CUn(op, _)  => throw new IllegalArgumentException(s"unknown unary $op")
-    case CArr(_) | CRange(_, _) =>
+    case CArr(_) | CRange(_, _) | CReduce(_, _) =>
       throw new IllegalArgumentException(s"not a scalar expression: ${show(e)}")
   }
 
-  /** Driver path for generator-free comprehensions (while conditions and
-    * pure-scalar assignments): None when a condition fails.
+  /** Evaluate a driver-only plan (a while condition or a pure-scalar
+    * assignment): None when a condition fails.
     */
-  def evalDriverComp(c: Comp, scalar: String => Any): Option[Any] = {
-    var env: Env = Map.empty
-    for (q <- c.quals) q match {
-      case QLet(PVar(v), e) => env += v -> evalExpr(e, env, scalar)
-      case QPred(e) =>
-        if (!evalExpr(e, env, scalar).asInstanceOf[Boolean]) return None
-      case QGroup(Nil, Nil) => () // single group: CReduce is identity
-      case other =>
-        throw new IllegalArgumentException(s"not driver-evaluable: ${show(other)}")
-    }
-    Some(evalExpr(c.head, env, scalar))
-  }
-
-  def hasGen(c: Comp): Boolean = c.quals.exists(_.isInstanceOf[Gen])
-
-  // --------------------------------------------------- comprehension plan
-
-  /** Planned qualifier ops: array scans carry the equality predicates that
-    * determine (some of) their index positions, enabling hash lookups.
-    */
-  private sealed trait Op
-  private final case class OpRange(v: String, lo: CExpr, hi: CExpr) extends Op
-  private final case class OpScan(idxVars: List[String], valVar: String,
-                                  arr: String, keyed: List[(Int, CExpr)]) extends Op
-  private final case class OpLet(v: String, e: CExpr) extends Op
-  private final case class OpPred(e: CExpr) extends Op
-  private final case class OpLookup(v: String, arr: String, keyVars: List[String],
-                                    default: Default) extends Op
-
-  private def plan(quals: List[Qual]): List[Op] = {
-    val consumed = scala.collection.mutable.Set.empty[Int]
-    var bound = Set.empty[String]
-    val out = List.newBuilder[Op]
-    for ((q, qi) <- quals.zipWithIndex if !consumed(qi)) q match {
-      case Gen(PVar(v), CRange(lo, hi)) =>
-        out += OpRange(v, lo, hi); bound += v
-      case Gen(p: PTup, CArr(a)) =>
-        val vars = p.vars
-        val (idxVars, valVar) = (vars.dropRight(1), vars.last)
-        val keyed = List.newBuilder[(Int, CExpr)]
-        val keyedPos = scala.collection.mutable.Set.empty[Int]
-        for ((r, ri) <- quals.zipWithIndex.drop(qi + 1) if !consumed(ri)) r match {
-          case QPred(CBin("==", l, r2)) =>
-            def tryKey(x: CExpr, e: CExpr): Boolean = x match {
-              case CVar(n) if idxVars.contains(n) && freeVars(e).subsetOf(bound) =>
-                val pos = idxVars.indexOf(n)
-                if (!keyedPos(pos)) { keyedPos += pos; keyed += pos -> e; consumed += ri; true }
-                else false
-              case _ => false
-            }
-            if (!tryKey(l, r2)) tryKey(r2, l)
-            ()
-          case _ => ()
-        }
-        out += OpScan(idxVars, valVar, a, keyed.result())
-        bound ++= vars
-      case Gen(p, src) =>
-        throw new IllegalArgumentException(s"bad generator ${show(Gen(p, src))}")
-      case QLet(PVar(v), e)  => out += OpLet(v, e); bound += v
-      case QLet(p, _) =>
-        throw new IllegalArgumentException(s"unsupported let pattern ${show(p)}")
-      case QPred(e)          => out += OpPred(e)
-      case QLookup(v, a, ks, d) => out += OpLookup(v, a, ks, d); bound += v
-      case _: QGroup =>
-        throw new IllegalArgumentException("group-by must be split before planning")
-    }
-    out.result()
-  }
+  def evalDriver(p: Plan, scalar: String => Any): Option[Any] =
+    new Evaluator(n => ScalarD(scalar(n)), par = false).rows(p).headOption.map(_.head)
 
   // --------------------------------------------------- comprehension eval
 
-  private final class Evaluator(state: collection.Map[String, Data], par: Boolean) {
+  private final class Evaluator(state: String => Data, par: Boolean) {
     private def scalar(n: String): Any = state(n) match {
       case ScalarD(v) => v
       case _ => throw new IllegalArgumentException(s"$n is not a scalar")
@@ -235,6 +167,8 @@ object LocalBackend {
       case _ => throw new IllegalArgumentException(s"$n is not an array")
     }
     private def ev(e: CExpr, env: Env): Any = evalExpr(e, env, scalar)
+    private def pass(conds: List[CExpr])(env: Env): Boolean =
+      conds.forall(ev(_, env).asInstanceOf[Boolean])
 
     // partial-key indexes, built once per comprehension evaluation
     private val indexes =
@@ -247,29 +181,28 @@ object LocalBackend {
     private def envStream(ops: List[Op], env: Env): Iterator[Env] = ops match {
       case Nil => Iterator.single(env)
       case op :: rest => op match {
-        case OpRange(v, lo, hi) =>
+        case Range(v, lo, hi, conds) =>
           val l = toLong(ev(lo, env)); val h = toLong(ev(hi, env))
-          (l to h).iterator.flatMap(i => envStream(rest, env + (v -> i)))
-        case OpScan(idxVars, valVar, arr, keyed) =>
+          (l to h).iterator.map(i => env + (v -> i))
+            .filter(pass(conds)).flatMap(envStream(rest, _))
+        case s @ Scan(arr, idxVars, valVar, keys, _) =>
           val a = array(arr)
+          val key = keys.map { case (_, e) => ev(e, env) }
           val entries: Iterator[(List[Any], Any)] =
-            if (keyed.size == a.keyArity) {
-              val key = keyed.sortBy(_._1).map { case (_, e) => ev(e, env) }
-              a.m.get(key).iterator.map(v => (key, v))
-            } else if (keyed.nonEmpty) {
-              val pos = keyed.map(_._1).sorted
-              val partial = keyed.sortBy(_._1).map { case (_, e) => ev(e, env) }
-              indexOf(arr, pos).getOrElse(partial, Seq.empty).iterator
-            } else a.m.iterator
-          entries.flatMap { case (k, v) =>
-            envStream(rest, env ++ idxVars.zip(k) + (valVar -> v))
-          }
-        case OpLet(v, e)  => envStream(rest, env + (v -> ev(e, env)))
-        case OpPred(e)    =>
+            if (keys.size == a.keyArity) a.m.get(key).iterator.map(v => (key, v))
+            else if (keys.nonEmpty)
+              indexOf(arr, keys.map(_._1)).getOrElse(key, Seq.empty).iterator
+            else a.m.iterator
+          entries.map { case (k, v) => env ++ idxVars.zip(k) + (valVar -> v) }
+            .filter(pass(s.residual)).flatMap(envStream(rest, _))
+        case Let(v, e)  => envStream(rest, env + (v -> ev(e, env)))
+        case Filter(e)  =>
           if (ev(e, env).asInstanceOf[Boolean]) envStream(rest, env) else Iterator.empty
-        case OpLookup(v, arr, keyVars, default) =>
+        case Lookup(v, arr, keyVars, default) =>
           val value = array(arr).m.getOrElse(keyVars.map(env), defaultValue(default))
           envStream(rest, env + (v -> value))
+        case _: Aggregate =>
+          throw new IllegalArgumentException("group-by must be split before streaming")
       }
     }
 
@@ -279,7 +212,7 @@ object LocalBackend {
       */
     private def leadingChunks(ops: List[Op])
         : Option[(Seq[() => Iterator[Env]], List[Op])] = ops match {
-      case OpRange(v, lo, hi) :: rest =>
+      case Range(v, lo, hi, conds) :: rest =>
         val l = toLong(ev(lo, Map.empty)); val h = toLong(ev(hi, Map.empty))
         if (h < l) Some((Seq(() => Iterator.empty), rest))
         else {
@@ -288,48 +221,24 @@ object LocalBackend {
             val e = math.min(h, s + step - 1)
             () => (s to e).iterator.map(i => Map[String, Any](v -> i))
           }
-          Some((thunks, rest))
+          Some((thunks, conds.map(Filter) ::: rest))
         }
-      case OpScan(idxVars, valVar, arr, Nil) :: rest =>
+      case Scan(arr, idxVars, valVar, Nil, conds) :: rest =>
         val items = array(arr).m.toArray
         val n = math.max(1, items.length / numChunks)
         val thunks = items.grouped(n).map { ch =>
           () => ch.iterator.map { case (k, v) =>
             (idxVars.zip(k) :+ (valVar -> v)).toMap }
         }.toSeq
-        Some((thunks, rest))
+        Some((thunks, conds.map(Filter) ::: rest))
       case _ => None
     }
 
     private def numChunks: Int = Runtime.getRuntime.availableProcessors
 
-    private var counter = 0
-    private def fresh(): String = { counter += 1; s"_r$counter" }
-
-    /** Evaluate a comprehension to its rows (flattened head columns). */
-    def rows(c: Comp): Seq[List[Any]] = splitAtGroup(c.quals) match {
-      case None =>
-        val ops  = plan(c.quals)
-        val cols = headColumns(c.head)
-        def emit(envs: Iterator[Env]): Vector[List[Any]] =
-          envs.map(env => cols.map(ev(_, env))).toVector
-        if (par) leadingChunks(ops) match {
-          case Some((chunks, rest)) =>
-            chunks.par.map(ch => emit(ch().flatMap(envStream(rest, _))))
-              .reduceOption(_ ++ _).getOrElse(Vector.empty)
-          case None => emit(envStream(ops, Map.empty))
-        } else emit(envStream(ops, Map.empty))
-
-      case Some((pre, QGroup(kvars, keys), post)) =>
-        // extract reductions from the head and the post-group qualifiers
-        val (head2, redsH) = extractReduces(c.head, () => fresh())
-        val postExprs = post.collect { case QPred(e) => e; case QLet(_, e) => e }
-        require(postExprs.forall(e => !containsReduce(e)),
-          "reductions in post-group qualifiers are not generated")
-        val reds = redsH
-        val preOps  = plan(pre)
-        val postOps = plan(post)
-
+    /** Evaluate a plan to its rows (flattened head columns). */
+    def rows(p: Plan): Seq[List[Any]] = p.ops.span(!_.isInstanceOf[Aggregate]) match {
+      case (preOps, Aggregate(kvars, keys, reds) :: postOps) =>
         type Acc = Array[Any]
         def accumulate(envs: Iterator[Env]): collection.mutable.HashMap[List[Any], Acc] = {
           val m = collection.mutable.HashMap.empty[List[Any], Acc]
@@ -367,24 +276,21 @@ object LocalBackend {
             case None => accumulate(envStream(preOps, Map.empty))
           } else accumulate(envStream(preOps, Map.empty))
 
-        val cols = headColumns(head2)
         grouped.iterator.flatMap { case (key, acc) =>
           val env0: Env = kvars.zip(key).toMap ++ reds.map(_._1).zip(acc)
-          envStream(postOps, env0).map(env => cols.map(ev(_, env)))
+          envStream(postOps, env0).map(env => p.head.map(ev(_, env)))
         }.toVector
-    }
-  }
 
-  private def containsReduce(e: CExpr): Boolean = e match {
-    case CReduce(_, _)     => true
-    case CBin(_, l, r)     => containsReduce(l) || containsReduce(r)
-    case CUn(_, b)         => containsReduce(b)
-    case CField(b, _)      => containsReduce(b)
-    case CTup(es)          => es.exists(containsReduce)
-    case CCall(_, as)      => as.exists(containsReduce)
-    case CIf(c, t, f)      => containsReduce(c) || containsReduce(t) || containsReduce(f)
-    case CCombine(_, l, r) => containsReduce(l) || containsReduce(r)
-    case _                 => false
+      case (ops, _) =>
+        def emit(envs: Iterator[Env]): Vector[List[Any]] =
+          envs.map(env => p.head.map(ev(_, env))).toVector
+        if (par) leadingChunks(ops) match {
+          case Some((chunks, rest)) =>
+            chunks.par.map(ch => emit(ch().flatMap(envStream(rest, _))))
+              .reduceOption(_ ++ _).getOrElse(Vector.empty)
+          case None => emit(envStream(ops, Map.empty))
+        } else emit(envStream(ops, Map.empty))
+    }
   }
 
   private def toLong(a: Any): Long = a match {
@@ -400,42 +306,27 @@ object LocalBackend {
   def run(prog: List[TStmt], init: Map[String, Data], par: Boolean = false)
       : Map[String, Data] = {
     val state = collection.mutable.Map.empty[String, Data] ++ init
-    def scalar(n: String): Any = state(n) match {
-      case ScalarD(v) => v
-      case _ => throw new IllegalArgumentException(s"$n is not a scalar")
-    }
 
     def exec(ts: List[TStmt]): Unit = ts.foreach {
       case TInit(n, ka) =>
         state(n) = ArrayD(Map.empty, ka)
       case TAssign(n, comp, isArray) =>
-        if (!isArray && !hasGen(comp) && !comp.quals.exists(_.isInstanceOf[QLookup])) {
-          evalDriverComp(comp, scalar).foreach(v => state(n) = ScalarD(v))
-        } else {
-          val rows = new Evaluator(state, par).rows(comp)
-          if (isArray) {
-            val ka = state.get(n) match {
-              case Some(ArrayD(_, a)) => a
-              case _ => rows.headOption.map(_.length - 1).getOrElse(1)
-            }
-            val newEntries = rows.iterator.map(r => (r.take(ka), r.last)).toMap
-            val old = state.get(n) match {
-              case Some(ArrayD(m, _)) => m
-              case _                  => Map.empty[List[Any], Any]
-            }
-            state(n) = ArrayD(old ++ newEntries, ka) // V := V ◁ new
-          } else {
-            rows.headOption.foreach(r => state(n) = ScalarD(r.head))
+        val plan = Plan.of(comp, isArray)
+        val rows = new Evaluator(state, par).rows(plan)
+        if (isArray) {
+          val (old, ka) = state.get(n) match {
+            case Some(ArrayD(m, a)) => (m, a)
+            case _                  => (Map.empty[List[Any], Any], plan.keyArity)
           }
+          val newEntries = rows.iterator.map(r => (r.take(ka), r.last)).toMap
+          state(n) = ArrayD(old ++ newEntries, ka) // V := V ◁ new
+        } else {
+          rows.headOption.foreach(r => state(n) = ScalarD(r.head))
         }
       case TWhileS(cond, body) =>
-        def test(): Boolean = {
-          val v =
-            if (!hasGen(cond)) evalDriverComp(cond, scalar)
-            else new Evaluator(state, par).rows(cond).headOption.map(_.head)
-          v.exists(_.asInstanceOf[Boolean])
-        }
-        while (test()) exec(body)
+        val plan = Plan.of(cond)
+        while (new Evaluator(state, par).rows(plan).headOption
+                 .exists(_.head.asInstanceOf[Boolean])) exec(body)
     }
     exec(prog)
     state.toMap

@@ -4,17 +4,19 @@ import org.apache.spark.sql.{Column, DataFrame, Row, SparkSession}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types._
 import repro.core.Comprehension._
+import repro.core.Plan
+import repro.core.Plan._
 import repro.core.Translate._
 import repro.local.LocalBackend
-import repro.local.LocalBackend.{ArrayD, Rec, ScalarD}
+import repro.local.LocalBackend.{ArrayD, Data, Rec, ScalarD}
 
-/** Spark backend: compiles DIABLO target code to DataFrame (Catalyst)
-  * operations.
+/** Spark backend: compiles the comprehension plans (`core.Plan`) of DIABLO
+  * target code to DataFrame (Catalyst) operations.
   *
   *  - an array is a DataFrame with columns `k1..kn, v` (`v` may be a struct);
-  *  - a generator becomes a scan; equality conditions linking a new
-  *    generator to bound variables become equi-join conditions (a cross
-  *    join when none exist — e.g. KMeans' points × centroids);
+  *  - a generator becomes a scan; its conds that link it to bound variables
+  *    become equi-join conditions (a cross join when none exist — e.g.
+  *    KMeans' points × centroids);
   *  - a group-by becomes `groupBy(keys).agg(...)` with one aggregate per
   *    extracted reduction (an empty key gives a global aggregate — the
   *    backend form of rule 16);
@@ -153,16 +155,16 @@ object SparkBackend {
         throw new IllegalArgumentException(s"not a column expression: ${show(other)}")
     }
 
-    private def aggOf(m: Monoid, c: Column): Column = m match {
+    private def aggOf(m: Monoid, c: Column, dt: DataType): Column = m match {
       case MSum  => coalesce(sum(c), lit(0))
-      case MProd => aggregate(collect_list(c), lit(1.0), (acc, x) => acc * x)
+      case MProd => aggregate(collect_list(c), lit(1).cast(dt), (acc, x) => acc * x)
       case MAnd  => coalesce(min(c), lit(true))
       case MOr   => coalesce(max(c), lit(false))
       case MMin  => min(c)
       case MMax  => max(c)
     }
 
-    private def defaultCol(d: Default, valueCol: Option[Column]): Column = d match {
+    private def defaultCol(d: Default): Column = d match {
       case DZero  => lit(0)
       case DOne   => lit(1)
       case DTrue  => lit(true)
@@ -179,140 +181,112 @@ object SparkBackend {
       }
     }
 
-    /** Compile a comprehension to a DataFrame of its flattened head columns
-      * (named c1..cm). None when the result is statically empty (a generator
-      * over a still-uninitialized array).
+    /** Compile a plan to a DataFrame of its head columns (named c1..cm).
+      * None when the result is statically empty (a scan of a
+      * still-uninitialized array).
       */
-    def compile(c: Comp): Option[DataFrame] = {
+    def compile(p: Plan): Option[DataFrame] = {
+      if (p.ops.exists { case s: Scan => arr(s.arr).df.isEmpty; case _ => false })
+        return None
       var cur: Option[DataFrame] = None
       var env = Map.empty[String, String]
-      var head = c.head
-      val quals = c.quals
-      val consumed = scala.collection.mutable.Set.empty[Int]
 
       def unitDF: DataFrame = spark.range(1).drop("id")
 
-      /** After binding `newVars` by a generator DataFrame `df` (whose
-        * columns are already in `env`), consume the applicable predicates:
-        * new-var-only predicates filter `df`; mixed-variable predicates
-        * become equi-join conditions. Scanning stops at the group-by.
+      /** Bring in a generator's DataFrame `df0`, whose columns `vars` are
+        * already in `env`: conds over `vars` alone filter it, the others
+        * become equi-join conditions (a cross join when there are none).
         */
-      def joinIn(df0: DataFrame, newVars: Set[String], from: Int): Unit = {
-        var df = df0
-        val joinConds = List.newBuilder[Column]
-        val allBound = env.keySet
-        var qi = from
-        var stop = false
-        while (qi < quals.length && !stop) {
-          quals(qi) match {
-            case _: QGroup => stop = true
-            case QPred(e) if !consumed(qi) && freeVars(e).subsetOf(allBound) &&
-                freeVars(e).intersect(newVars).nonEmpty =>
-              consumed += qi
-              if (freeVars(e).subsetOf(newVars)) df = df.filter(col_(e, env))
-              else joinConds += col_(e, env)
-            case _ => ()
-          }
-          qi += 1
-        }
-        val conds = joinConds.result()
+      def bind(df0: DataFrame, vars: Set[String], conds: List[CExpr]): Unit = {
+        val (own, linking) = conds.partition(freeVars(_).subsetOf(vars))
+        val df = own.foldLeft(df0)((d, e) => d.filter(col_(e, env)))
+        val joinConds = linking.map(col_(_, env))
         cur = cur match {
-          case None    => Some(conds.foldLeft(df)((d, c) => d.filter(c)))
+          case None    => Some(joinConds.foldLeft(df)((d, c) => d.filter(c)))
           case Some(l) =>
-            if (conds.isEmpty) Some(l.crossJoin(df))
-            else Some(l.join(df, conds.reduce(_ && _), "inner"))
+            if (joinConds.isEmpty) Some(l.crossJoin(df))
+            else Some(l.join(df, joinConds.reduce(_ && _), "inner"))
         }
       }
 
-      var qi = 0
-      while (qi < quals.length) {
-        if (!consumed(qi)) quals(qi) match {
-          case Gen(PVar(v), CRange(lo, hi)) =>
-            val name = fresh()
-            val df = spark.range(driverLong(lo), driverLong(hi) + 1).toDF(name)
-            env += v -> name
-            joinIn(df, Set(v), qi + 1)
+      p.ops.foreach {
+        case Range(v, lo, hi, conds) =>
+          val name = fresh()
+          env += v -> name
+          bind(spark.range(driverLong(lo), driverLong(hi) + 1).toDF(name), Set(v), conds)
 
-          case Gen(p: PTup, CArr(a)) =>
-            val sa = arr(a)
-            sa.df match {
-              case None => return None // generator over an empty array
-              case Some(adf) =>
-                val vars = p.vars
-                val names = vars.map(_ => fresh())
-                val df = adf.toDF(names: _*)
-                env ++= vars.zip(names)
-                joinIn(df, vars.toSet, qi + 1)
-            }
+        case Scan(a, idxVars, valVar, _, conds) =>
+          val vars = idxVars :+ valVar
+          val names = vars.map(_ => fresh())
+          env ++= vars.zip(names)
+          bind(arr(a).df.get.toDF(names: _*), vars.toSet, conds)
 
-          case Gen(p, src) =>
-            throw new IllegalArgumentException(s"bad generator ${show(Gen(p, src))}")
+        case Let(v, e) =>
+          val name = fresh()
+          cur = Some(cur.getOrElse(unitDF).withColumn(name, col_(e, env)))
+          env += v -> name
 
-          case QLet(PVar(v), e) =>
-            val name = fresh()
-            val base = cur.getOrElse(unitDF)
-            cur = Some(base.withColumn(name, col_(e, env)))
-            env += v -> name
+        case Filter(e) =>
+          cur = Some(cur.getOrElse(unitDF).filter(col_(e, env)))
 
-          case QLet(p, _) =>
-            throw new IllegalArgumentException(s"unsupported let pattern ${show(p)}")
+        case Aggregate(kvars, keys, reds) =>
+          var base = cur.getOrElse(unitDF)
+          // pre-group columns: group keys and reduction arguments
+          val keyNames = keys.map { k =>
+            val nm = fresh(); base = base.withColumn(nm, col_(k, env)); nm
+          }
+          val redArgs = reds.map { case (rv, m, argE) =>
+            val argN = fresh(); base = base.withColumn(argN, col_(argE, env))
+            (rv, m, argN, fresh())
+          }
+          val aggs = redArgs.map { case (_, m, argN, outN) =>
+            aggOf(m, col(argN), base.schema(argN).dataType).as(outN) }
+          val grouped =
+            if (keyNames.isEmpty) base.agg(aggs.head, aggs.tail: _*)
+            else base.groupBy(keyNames.map(col): _*).agg(aggs.head, aggs.tail: _*)
+          cur = Some(grouped)
+          env = kvars.zip(keyNames).toMap ++
+            redArgs.map { case (rv, _, _, outN) => rv -> outN }
 
-          case QPred(e) =>
-            cur = Some(cur.getOrElse(unitDF).filter(col_(e, env)))
-
-          case QGroup(kvars, keys) =>
-            val (head2, reds) = extractReduces(head, () => fresh())
-            head = head2
-            var base = cur.getOrElse(unitDF)
-            // pre-group columns: group keys and reduction arguments
-            val keyNames = keys.map { k =>
-              val nm = fresh(); base = base.withColumn(nm, col_(k, env)); nm
-            }
-            val redArgs = reds.map { case (rv, m, argE) =>
-              val argN = fresh(); base = base.withColumn(argN, col_(argE, env))
-              (rv, m, argN, fresh())
-            }
-            val aggs = redArgs.map { case (_, m, argN, outN) =>
-              aggOf(m, col(argN)).as(outN) }
-            val grouped =
-              if (keyNames.isEmpty) base.agg(aggs.head, aggs.tail: _*)
-              else base.groupBy(keyNames.map(col): _*).agg(aggs.head, aggs.tail: _*)
-            cur = Some(grouped)
-            env = kvars.zip(keyNames).toMap ++
-              redArgs.map { case (rv, _, _, outN) => rv -> outN }
-
-          case QLookup(w, a, keyVars, default) =>
-            val name = fresh()
-            val base = cur.getOrElse(unitDF)
-            arr(a).df match {
-              case None =>
-                cur = Some(base.withColumn(name, defaultCol(default, None)))
-              case Some(adf) =>
-                val ka = arr(a).keyArity
-                val rNames = (0 to ka).map(_ => fresh())
-                val rdf = adf.toDF(rNames: _*)
-                val cond = keyVars.zipWithIndex.map { case (kv, i) =>
-                  col(env(kv)) === col(rNames(i)) }.reduce(_ && _)
-                val joined = base.join(rdf, cond, "left_outer")
-                val vCol = col(rNames.last)
-                val wCol = default match {
-                  case DNull => vCol
-                  case d     => coalesce(vCol, defaultCol(d, Some(vCol)))
-                }
-                cur = Some(joined.withColumn(name, wCol))
-            }
-            env += w -> name
-        }
-        qi += 1
+        case Lookup(w, a, keyVars, default) =>
+          val name = fresh()
+          val base = cur.getOrElse(unitDF)
+          arr(a).df match {
+            case None =>
+              cur = Some(base.withColumn(name, defaultCol(default)))
+            case Some(adf) =>
+              val ka = arr(a).keyArity
+              val rNames = (0 to ka).map(_ => fresh())
+              val rdf = adf.toDF(rNames: _*)
+              val cond = keyVars.zipWithIndex.map { case (kv, i) =>
+                col(env(kv)) === col(rNames(i)) }.reduce(_ && _)
+              val joined = base.join(rdf, cond, "left_outer")
+              val vCol = col(rNames.last)
+              val wCol = default match {
+                case DNull => vCol
+                case d     => coalesce(vCol, defaultCol(d))
+              }
+              cur = Some(joined.withColumn(name, wCol))
+          }
+          env += w -> name
       }
 
-      val cols = headColumns(head).zipWithIndex.map { case (e, i) =>
+      val cols = p.head.zipWithIndex.map { case (e, i) =>
         col_(e, env).as(s"c${i + 1}") }
       Some(cur.getOrElse(unitDF).select(cols: _*))
     }
   }
 
   // ------------------------------------------------------------ execution
+
+  /** Local state → Spark state: scalars stay on the driver, arrays become
+    * DataFrames.
+    */
+  def fromLocal(spark: SparkSession, data: Map[String, Data]): Map[String, SValue] =
+    data.map {
+      case (n, ScalarD(v))        => n -> SScalar(v)
+      case (n, a @ ArrayD(_, ka)) => n -> SArr(Some(arrayToDF(spark, a)), ka)
+    }
 
   /** Run target code over an initial state; returns the final state. */
   def run(prog: List[TStmt], init: Map[String, SValue], spark: SparkSession)
@@ -329,18 +303,15 @@ object SparkBackend {
       case TInit(nm, ka) => state(nm) = SArr(None, ka)
 
       case TAssign(nm, comp, isArray) =>
-        if (!isArray && !LocalBackend.hasGen(comp)) {
-          LocalBackend.evalDriverComp(comp, scalar)
-            .foreach(v => state(nm) = SScalar(v))
+        val plan = Plan.of(comp, isArray)
+        if (!isArray && plan.driverOnly) {
+          LocalBackend.evalDriver(plan, scalar).foreach(v => state(nm) = SScalar(v))
         } else {
-          val compiled = new Compiler(spark, state).compile(comp)
+          val compiled = new Compiler(spark, state).compile(plan)
           if (isArray) {
             val ka = state.get(nm) match {
               case Some(SArr(_, a)) => a
-              case _ => comp.head match {
-                case CTup(es) => es.length - 1
-                case _        => 1
-              }
+              case _                => plan.keyArity
             }
             compiled.foreach { df =>
               val ndf = df.toDF(keyCols(ka) :+ "v": _*)
@@ -365,10 +336,11 @@ object SparkBackend {
         }
 
       case TWhileS(cond, body) =>
+        val plan = Plan.of(cond)
         def test(): Boolean = {
           val v =
-            if (!LocalBackend.hasGen(cond)) LocalBackend.evalDriverComp(cond, scalar)
-            else new Compiler(spark, state).compile(cond)
+            if (plan.driverOnly) LocalBackend.evalDriver(plan, scalar)
+            else new Compiler(spark, state).compile(plan)
               .flatMap(df => df.collect().headOption.map(_.get(0)))
           v.exists(_.asInstanceOf[Boolean])
         }

@@ -1,0 +1,67 @@
+package repro.core
+
+import org.scalatest.funsuite.AnyFunSuite
+import repro.core.Comprehension._
+import repro.core.Plan._
+import repro.core.Translate._
+import repro.programs.Benchmarks
+
+/** The shared comprehension plan: which predicates key a scan, join it or
+  * filter it, and where the group-by's aggregate goes.
+  */
+class PlanSpec extends AnyFunSuite {
+
+  private def plans(name: String): List[(String, Plan)] = {
+    val p = Benchmarks.byName(name)
+    Diablo.compile(p.source, p.sigs).collect {
+      case TAssign(n, c, a) => n -> Plan.of(c, a)
+    }
+  }
+  private def scans(p: Plan): List[Scan] = p.ops.collect { case s: Scan => s }
+
+  test("Matrix Multiplication's second scan is keyed by the first") {
+    val Some((_, p)) = plans("Matrix Multiplication").find(_._2.ops.exists(_.isInstanceOf[Aggregate]))
+    val List(m, n) = scans(p)
+    assert((m.arr, n.arr) == ("M", "N"))
+    assert(m.keys.isEmpty)
+    assert(n.keys == List(0 -> CVar("k")))
+    assert(n.conds == List(CBin("==", CVar(n.idxVars.head), CVar("k"))))
+    assert(n.residual.isEmpty)
+  }
+
+  test("KMeans' points x centroids scan has no key: a cross join") {
+    val (_, p) = plans("KMeans").filter(_._1 == "near").last
+    val points :: centroids :: _ = scans(p)
+    assert((points.arr, centroids.arr) == ("P", "C"))
+    assert(centroids.keys.isEmpty && centroids.conds.isEmpty)
+  }
+
+  test("a group by () program yields Aggregate(Nil, ...)") {
+    val code = Diablo.compile("var s: double = 0.0; for v in V do s += v;",
+      Map("V" -> ArraySig(1)))
+    val p = Plan.of(code.collect { case TAssign("s", c, _) => c }.last)
+    val Some(Aggregate(Nil, Nil, List((r, MSum, CVar(_))))) =
+      p.ops.collectFirst { case a: Aggregate => a }
+    assert(p.head == List(CCombine(MSum, CState("s"), CVar(r))))
+    assert(!p.driverOnly)
+  }
+
+  test("a predicate is consumed by the generator that binds its last variable") {
+    val p = Plan.of(Comp(CTup(List(CVar("i"), CVar("b"))), List(
+      Gen(PTup(List(PVar("i"), PVar("a"))), CArr("A")),
+      Gen(PTup(List(PVar("j"), PVar("b"))), CArr("B")),
+      QPred(CBin("==", CVar("j"), CVar("i"))),
+      QPred(CBin(">", CVar("a"), CLit(0L))))), isArray = true)
+    assert(p.ops == List(
+      Scan("A", List("i"), "a", Nil, List(CBin(">", CVar("a"), CLit(0L)))),
+      Scan("B", List("j"), "b", List(0 -> CVar("i")),
+        List(CBin("==", CVar("j"), CVar("i"))))))
+    assert(p.keyArity == 1)
+  }
+
+  test("a generator-free comprehension is driver-only") {
+    val p = Plan.of(Comp(CBin("<", CState("x"), CLit(3L)), Nil))
+    assert(p.ops.isEmpty && p.driverOnly)
+    assert(Plan.of(Comp(CTup(List(CLit(1.0), CLit(0L))), Nil)).head.length == 1)
+  }
+}

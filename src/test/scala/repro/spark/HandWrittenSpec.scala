@@ -51,7 +51,7 @@ class HandWrittenSpec extends SparkSpec {
     // all-equal dataset
     val eqArr = repro.programs.BenchData.equalStrings(40)
     val code = repro.core.Diablo.compile(p.source, p.sigs)
-    val st2 = SparkBackend.run(code, toSparkState(spark, Map(
+    val st2 = SparkBackend.run(code, fromLocal(spark, Map(
       "W" -> eqArr, "w0" -> repro.local.LocalBackend.ScalarD("key7"))), spark)
     assert(outScalar(st2, "eq") == true)
     assert(HandWritten.equal(arrayToDF(spark, eqArr), "key7"))

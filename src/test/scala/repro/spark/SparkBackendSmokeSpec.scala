@@ -3,7 +3,7 @@ package repro.spark
 import repro.SparkSpec
 import repro.core.Diablo
 import repro.local.LocalBackend
-import repro.local.LocalBackend.{ArrayD, Data, ScalarD}
+import repro.local.LocalBackend.{ArrayD, ScalarD}
 import repro.programs.Benchmarks
 import repro.spark.SparkBackend._
 
@@ -12,12 +12,6 @@ import repro.spark.SparkBackend._
   * backend (the reference interpreter).
   */
 class SparkBackendSmokeSpec extends SparkSpec {
-
-  def toSparkState(data: Map[String, Data]): Map[String, SValue] =
-    data.map {
-      case (n, ScalarD(v))   => n -> SScalar(v)
-      case (n, a @ ArrayD(_, ka)) => n -> SArr(Some(arrayToDF(spark, a)), ka)
-    }
 
   def assertSameValue(name: String, a: Any, b: Any): Unit = (a, b) match {
     case (x: Double, y: Double) =>
@@ -30,7 +24,7 @@ class SparkBackendSmokeSpec extends SparkSpec {
     val code = Diablo.compile(p.source, p.sigs)
     val data = p.data(scale, 42)
     val localSt = LocalBackend.run(code, data)
-    val sparkSt = SparkBackend.run(code, toSparkState(data), spark)
+    val sparkSt = SparkBackend.run(code, fromLocal(spark, data), spark)
     for (o <- p.outputs) (localSt(o), sparkSt(o)) match {
       case (ScalarD(a), SScalar(b)) => assertSameValue(s"$pName.$o", a, b)
       case (ArrayD(m, ka), SArr(df, ka2)) =>

@@ -3,6 +3,7 @@ package repro.spark
 import repro.SparkSpec
 import repro.core.Diablo
 import repro.core.Translate._
+import repro.local.LocalBackend
 import repro.local.LocalBackend.{ArrayD, Data, ScalarD}
 import repro.spark.SparkBackend._
 import repro.spark.SparkTestUtil._
@@ -16,12 +17,22 @@ class SparkMonoidSpec extends SparkSpec {
     ArrayD(vs.map { case (k, v) => List[Any](k) -> v }.toMap, 1)
 
   private def run(src: String, sigs: Map[String, Sig], data: Map[String, Data]) =
-    SparkBackend.run(Diablo.compile(src, sigs), toSparkState(spark, data), spark)
+    SparkBackend.run(Diablo.compile(src, sigs), fromLocal(spark, data), spark)
 
   test("*= product aggregation on Spark") {
     val st = run("var p: double = 1.0; for v in V do p *= v;",
       Map("V" -> ArraySig(1)), Map("V" -> vec(0L -> 2.0, 1L -> 3.0, 2L -> 4.0)))
     assert(outScalar(st, "p") == 24.0)
+  }
+
+  test("long *= keeps the long type on both backends") {
+    val src = "var p: long = 1; for v in V do p *= v;"
+    val sigs = Map("V" -> ArraySig(1))
+    val data = Map[String, Data]("V" -> vec(0L -> 2L, 1L -> 3L))
+    val local = LocalBackend.run(Diablo.compile(src, sigs), data)("p")
+    // `==` on Any equates 6L with 6.0, so the type is checked separately
+    for (v <- List(local.asInstanceOf[ScalarD].v, outScalar(run(src, sigs, data), "p")))
+      assert(v.isInstanceOf[Long] && v == 6L, s"got $v")
   }
 
   test("scalar min=/max= on Spark") {
