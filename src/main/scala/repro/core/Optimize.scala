@@ -8,6 +8,13 @@ import Translate._
   *  - *Range elimination* (§3.6): a join between `i ← range(lo,hi)` and an
   *    array traversal with condition `I = i` becomes a traversal with an
   *    `inRange` filter, avoiding the join against the index range.
+  *  - *Same-key generator merging*: two pre-group generators over the same
+  *    array whose index variables are pairwise equal read the same entry,
+  *    because an array holds one value per key (the argument rule 17 makes
+  *    for group keys); the later one is dropped and its variables renamed to
+  *    the earlier one's. Each array read `A[e]` gets its own generator under
+  *    rule (11c), so KMeans' distance term reads `P[i]` and `C[j]` four
+  *    times each; after merging it is one points × centroids join.
   *  - *Rule 16*: a group-by with a constant key forms one group; it is
   *    replaced by a global aggregation (empty-key group-by) plus
   *    let-bindings for the key variables.
@@ -29,6 +36,7 @@ object Optimize {
   def optimizeComp(c: Comp): Comp = {
     var cur = c
     cur = eliminateRanges(cur)
+    cur = mergeSameKeyGens(cur)
     cur = constantKeyGroup(cur)
     cur = uniqueKeyGroup(cur)
     cur = Comp(cur.head, reorder(cur.quals))
@@ -71,6 +79,60 @@ object Optimize {
     Comp(c.head, quals)
   }
 
+  // ------------------------------------------- same-key generator merging
+
+  /** Merge two pre-group generators over the same array whose index
+    * variables are pairwise in one equality class: drop the later one,
+    * rename its variables to the earlier one's, and drop the predicates the
+    * renaming makes trivial (`a == a`), repeated, or implied by a
+    * `let a = b`. Applied to a fixpoint.
+    */
+  private def mergeSameKeyGens(c: Comp): Comp = {
+    val pre = c.quals.takeWhile(!_.isInstanceOf[QGroup])
+    val uf = equalities(pre)
+    val gens = pre.zipWithIndex.collect { case (Gen(p: PTup, CArr(a)), i) => (a, p.vars, i) }
+    val merge = (for {
+      (a, early, i) <- gens.iterator
+      (b, late, j)  <- gens.iterator
+      if a == b && i < j &&
+        early.init.zip(late.init).forall { case (x, y) => uf.find(x) == uf.find(y) }
+    } yield (j, late.zip(early).toMap)).nextOption()
+    merge match {
+      case None => c
+      case Some((j, ren)) =>
+        val rename = (e: CExpr) => mapExpr(e) {
+          case CVar(v) => Some(CVar(ren.getOrElse(v, v)))
+          case _       => None
+        }
+        val quals = c.quals.patch(j, Nil, 1).map {
+          case Gen(p, src)    => Gen(p, rename(src))
+          case QLet(p, e)     => QLet(p, rename(e))
+          case QPred(e)       => QPred(rename(e))
+          case QGroup(kv, ks) => QGroup(kv, ks.map(rename))
+          case l: QLookup     => l
+        }
+        val lets = quals.collect { case QLet(PVar(a), CVar(b)) => Set(a, b) }.toSet
+        val seen = scala.collection.mutable.Set.empty[Set[CExpr]]
+        val kept = quals.filter {
+          case QPred(CBin("==", CVar(a), CVar(b))) if a == b || lets(Set(a, b)) => false
+          case QPred(CBin("==", l, r)) => seen.add(Set(l, r))
+          case _                       => true
+        }
+        mergeSameKeyGens(Comp(rename(c.head), kept))
+    }
+  }
+
+  /** Equivalence classes of variables linked by `a == b` and `let a = b`. */
+  private def equalities(quals: List[Qual]): UnionFind = {
+    val uf = new UnionFind
+    quals.foreach {
+      case QPred(CBin("==", CVar(a), CVar(b))) => uf.union(a, b)
+      case QLet(PVar(a), CVar(b))              => uf.union(a, b)
+      case _                                   => ()
+    }
+    uf
+  }
+
   // ------------------------------------------------------------- rule 16
 
   /** Group-by with a constant key (no free variables): a single group.
@@ -95,13 +157,7 @@ object Optimize {
   private def uniqueKeyGroup(c: Comp): Comp =
     splitAtGroup(c.quals) match {
       case Some((pre, QGroup(kvars, keys), post)) if kvars.nonEmpty =>
-        // equivalence classes of variables linked by `a == b` and `let a = b`
-        val uf = new UnionFind
-        pre.foreach {
-          case QPred(CBin("==", CVar(a), CVar(b))) => uf.union(a, b)
-          case QLet(PVar(a), CVar(b))              => uf.union(a, b)
-          case _                                   => ()
-        }
+        val uf = equalities(pre)
         val keyVars: Set[String] =
           keys.collect { case CVar(v) => uf.find(v) }.toSet
         val allKeysAreVars = keys.forall(_.isInstanceOf[CVar])
@@ -141,6 +197,7 @@ object Optimize {
       case CIf(c, t, fe)     => CIf(mapExpr(c)(f), mapExpr(t)(f), mapExpr(fe)(f))
       case CReduce(m, b)     => CReduce(m, mapExpr(b)(f))
       case CCombine(m, l, r) => CCombine(m, mapExpr(l)(f), mapExpr(r)(f))
+      case CRange(l, h)      => CRange(mapExpr(l)(f), mapExpr(h)(f))
       case other             => other
     })
 

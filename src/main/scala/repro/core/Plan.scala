@@ -15,6 +15,11 @@ import Comprehension._
   * head; the post-group operators and the reduction-free head follow it.
   * The head of an array assignment is flattened to its key and value
   * columns; any other head is one column.
+  *
+  * A `Lookup` is the old-value read of rule (15a): it reads the
+  * assignment's target at the head's key columns and is the last operator.
+  * `Plan.of` checks this shape, because the Spark backend compiles such a
+  * lookup as the `◁` merge itself.
   */
 final case class Plan(ops: List[Plan.Op], head: List[CExpr]) {
 
@@ -30,6 +35,9 @@ final case class Plan(ops: List[Plan.Op], head: List[CExpr]) {
     * (k1, ..., kn, v).
     */
   def keyArity: Int = head.length - 1
+
+  /** The old-value lookup of the target, if the plan has one. */
+  def lookup: Option[Plan.Lookup] = ops.lastOption.collect { case l: Plan.Lookup => l }
 }
 
 object Plan {
@@ -60,10 +68,22 @@ object Plan {
   final case class Aggregate(kvars: List[String], keys: List[CExpr],
                              reductions: List[(String, Monoid, CExpr)]) extends Op
 
-  /** Plan a comprehension; `isArray` for the comprehension of an array
-    * assignment.
+  /** Plan a comprehension; `target` is the array an array assignment
+    * writes.
     */
-  def of(c: Comp, isArray: Boolean = false): Plan = {
+  def of(c: Comp, target: Option[String] = None): Plan = {
+    val p = build(c, target.isDefined)
+    p.ops.collect { case l: Lookup => l }.foreach { l =>
+      require((l eq p.ops.last) && target.contains(l.arr) &&
+          p.head.init == l.keyVars.map(CVar),
+        s"lookup ${l.arr}[${l.keyVars.mkString(",")}] must be the last operator " +
+        s"and read the assignment's target ${target.getOrElse("(none)")} at the " +
+        s"head's key columns (${p.head.init.map(show).mkString(",")})")
+    }
+    p
+  }
+
+  private def build(c: Comp, isArray: Boolean): Plan = {
     def cols(head: CExpr) = if (isArray) headColumns(head) else List(head)
     splitAtGroup(c.quals) match {
       case None => Plan(ops(c.quals, Set.empty), cols(c.head))

@@ -311,7 +311,7 @@ object LocalBackend {
       case TInit(n, ka) =>
         state(n) = ArrayD(Map.empty, ka)
       case TAssign(n, comp, isArray) =>
-        val plan = Plan.of(comp, isArray)
+        val plan = Plan.of(comp, Option.when(isArray)(n))
         val rows = new Evaluator(state, par).rows(plan)
         if (isArray) {
           val (old, ka) = state.get(n) match {

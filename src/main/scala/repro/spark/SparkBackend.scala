@@ -20,9 +20,11 @@ import repro.local.LocalBackend.{ArrayD, Data, Rec, ScalarD}
   *  - a group-by becomes `groupBy(keys).agg(...)` with one aggregate per
   *    extracted reduction (an empty key gives a global aggregate — the
   *    backend form of rule 16);
-  *  - the old-value lookup of rule (15a) is a left-outer join with the
-  *    monoid identity as default;
-  *  - the array merge `◁` is a full-outer join with `coalesce(new, old)`;
+  *  - the array merge `◁` is a full-outer join with the old array, keys
+  *    `coalesce(new, old)`; when the plan reads the target's old values
+  *    (the lookup of rule (15a), keyed by the head's keys), that same join
+  *    is the lookup: the old value, or the monoid identity, feeds the head,
+  *    and a key with no new row keeps its old value;
   *  - scalars live on the driver; while-loops run on the driver.
   *
   * Array assignments are materialized eagerly (`localCheckpoint`) so
@@ -183,13 +185,16 @@ object SparkBackend {
 
     /** Compile a plan to a DataFrame of its head columns (named c1..cm).
       * None when the result is statically empty (a scan of a
-      * still-uninitialized array).
+      * still-uninitialized array). A plan with a lookup of an initialized
+      * target yields the target already merged with `◁`.
       */
     def compile(p: Plan): Option[DataFrame] = {
       if (p.ops.exists { case s: Scan => arr(s.arr).df.isEmpty; case _ => false })
         return None
       var cur: Option[DataFrame] = None
       var env = Map.empty[String, String]
+      // after a fused lookup: (column set on new rows only, old value column)
+      var oldOnly: Option[(String, String)] = None
 
       def unitDF: DataFrame = spark.range(1).drop("id")
 
@@ -255,24 +260,33 @@ object SparkBackend {
             case None =>
               cur = Some(base.withColumn(name, defaultCol(default)))
             case Some(adf) =>
-              val ka = arr(a).keyArity
-              val rNames = (0 to ka).map(_ => fresh())
-              val rdf = adf.toDF(rNames: _*)
-              val cond = keyVars.zipWithIndex.map { case (kv, i) =>
-                col(env(kv)) === col(rNames(i)) }.reduce(_ && _)
-              val joined = base.join(rdf, cond, "left_outer")
-              val vCol = col(rNames.last)
+              // the ◁ merge, fused: one full-outer join with the old array
+              val rNames = (0 to arr(a).keyArity).map(_ => fresh())
+              val isNew = fresh()
+              val keyPairs = keyVars.map(env).zip(rNames)
+              val joined = base.withColumn(isNew, lit(true)).join(adf.toDF(rNames: _*),
+                keyPairs.map { case (k, r) => col(k) === col(r) }.reduce(_ && _),
+                "full_outer")
+              val old = col(rNames.last)
               val wCol = default match {
-                case DNull => vCol
-                case d     => coalesce(vCol, defaultCol(d))
+                case DNull => old
+                case d     => coalesce(old, defaultCol(d))
               }
-              cur = Some(joined.withColumn(name, wCol))
+              cur = Some(keyPairs.foldLeft(joined) { case (df, (k, r)) =>
+                df.withColumn(k, coalesce(col(k), col(r))) }.withColumn(name, wCol))
+              oldOnly = Some((isNew, rNames.last))
           }
           env += w -> name
       }
 
       val cols = p.head.zipWithIndex.map { case (e, i) =>
-        col_(e, env).as(s"c${i + 1}") }
+        val c = oldOnly match {
+          case Some((isNew, old)) if i == p.head.length - 1 =>
+            when(col(isNew).isNull, col(old)).otherwise(col_(e, env))
+          case _ => col_(e, env)
+        }
+        c.as(s"c${i + 1}")
+      }
       Some(cur.getOrElse(unitDF).select(cols: _*))
     }
   }
@@ -280,12 +294,15 @@ object SparkBackend {
   // ------------------------------------------------------------ execution
 
   /** Local state → Spark state: scalars stay on the driver, arrays become
-    * DataFrames.
+    * DataFrames. An empty array has no element to take a schema from; it
+    * becomes a never-assigned array, which `compile` treats as statically
+    * empty.
     */
   def fromLocal(spark: SparkSession, data: Map[String, Data]): Map[String, SValue] =
     data.map {
-      case (n, ScalarD(v))        => n -> SScalar(v)
-      case (n, a @ ArrayD(_, ka)) => n -> SArr(Some(arrayToDF(spark, a)), ka)
+      case (n, ScalarD(v))                 => n -> SScalar(v)
+      case (n, ArrayD(m, ka)) if m.isEmpty => n -> SArr(None, ka)
+      case (n, a @ ArrayD(_, ka))          => n -> SArr(Some(arrayToDF(spark, a)), ka)
     }
 
   /** Run target code over an initial state; returns the final state. */
@@ -303,7 +320,7 @@ object SparkBackend {
       case TInit(nm, ka) => state(nm) = SArr(None, ka)
 
       case TAssign(nm, comp, isArray) =>
-        val plan = Plan.of(comp, isArray)
+        val plan = Plan.of(comp, Option.when(isArray)(nm))
         if (!isArray && plan.driverOnly) {
           LocalBackend.evalDriver(plan, scalar).foreach(v => state(nm) = SScalar(v))
         } else {
@@ -316,7 +333,7 @@ object SparkBackend {
             compiled.foreach { df =>
               val ndf = df.toDF(keyCols(ka) :+ "v": _*)
               val merged = state.get(nm) match {
-                case Some(SArr(Some(odf), _)) =>
+                case Some(SArr(Some(odf), _)) if plan.lookup.isEmpty =>
                   val renamed = ndf.withColumnRenamed("v", "_nv")
                   odf.join(renamed, keyCols(ka), "full_outer")
                     .select(keyCols(ka).map(col) :+

@@ -14,7 +14,7 @@ class PlanSpec extends AnyFunSuite {
   private def plans(name: String): List[(String, Plan)] = {
     val p = Benchmarks.byName(name)
     Diablo.compile(p.source, p.sigs).collect {
-      case TAssign(n, c, a) => n -> Plan.of(c, a)
+      case TAssign(n, c, a) => n -> Plan.of(c, Option.when(a)(n))
     }
   }
   private def scans(p: Plan): List[Scan] = p.ops.collect { case s: Scan => s }
@@ -31,9 +31,28 @@ class PlanSpec extends AnyFunSuite {
 
   test("KMeans' points x centroids scan has no key: a cross join") {
     val (_, p) = plans("KMeans").filter(_._1 == "near").last
-    val points :: centroids :: _ = scans(p)
+    val List(points, centroids) = scans(p)
     assert((points.arr, centroids.arr) == ("P", "C"))
     assert(centroids.keys.isEmpty && centroids.conds.isEmpty)
+    assert(p.lookup.exists(_.arr == "near"))
+  }
+
+  test("a lookup must read the target at the head's keys, last") {
+    val quals = List[Qual](
+      Gen(PTup(List(PVar("i"), PVar("a"))), CArr("A")),
+      QGroup(List("k"), List(CVar("i"))),
+      QLookup("w", "V", List("k"), DZero))
+    val head = CTup(List(CVar("k"), CCombine(MSum, CVar("w"), CReduce(MSum, CVar("a")))))
+    assert(Plan.of(Comp(head, quals), Some("V")).lookup.nonEmpty)
+    val bad = List(
+      Comp(head, quals) -> Some("U"),                              // another array
+      Comp(CTup(List(CVar("i"), head.es.last)), quals) -> Some("V"), // other keys
+      Comp(head, quals :+ QPred(CLit(true))) -> Some("V"),         // not last
+      Comp(head.es.last, quals) -> None)                           // not an array
+    for ((c, target) <- bad) {
+      val e = intercept[IllegalArgumentException](Plan.of(c, target))
+      assert(e.getMessage.contains("lookup V[k]"))
+    }
   }
 
   test("a group by () program yields Aggregate(Nil, ...)") {
@@ -51,7 +70,7 @@ class PlanSpec extends AnyFunSuite {
       Gen(PTup(List(PVar("i"), PVar("a"))), CArr("A")),
       Gen(PTup(List(PVar("j"), PVar("b"))), CArr("B")),
       QPred(CBin("==", CVar("j"), CVar("i"))),
-      QPred(CBin(">", CVar("a"), CLit(0L))))), isArray = true)
+      QPred(CBin(">", CVar("a"), CLit(0L))))), Some("X"))
     assert(p.ops == List(
       Scan("A", List("i"), "a", Nil, List(CBin(">", CVar("a"), CLit(0L)))),
       Scan("B", List("j"), "b", List(0 -> CVar("i")),

@@ -35,6 +35,24 @@ class SparkMonoidSpec extends SparkSpec {
       assert(v.isInstanceOf[Long] && v == 6L, s"got $v")
   }
 
+  test("every monoid over an empty input agrees with local seq") {
+    val cases = List(
+      ("long", "0", "+=", "v.N"), ("double", "1.0", "*=", "v.A"),
+      ("bool", "true", "&&=", "v.A > 0.0"), ("bool", "false", "||=", "v.A > 0.0"),
+      ("double", "1.0e30", "min=", "v.A"), ("long", "-5", "max=", "v.N"))
+    val sigs = Map("V" -> ArraySig(1))
+    val data = Map[String, Data]("V" -> ArrayD(Map.empty, 1))
+    for ((tpe, init, op, e) <- cases) {
+      val src = s"var s: $tpe = $init; var A: vector[$tpe] = vector(); " +
+        s"for v in V do { s $op $e; A[v.N] $op $e; };"
+      val local = LocalBackend.run(Diablo.compile(src, sigs), data)
+      val sp = run(src, sigs, data)
+      val (l, r) = (local("s").asInstanceOf[ScalarD].v, outScalar(sp, "s"))
+      assert(l == r && l.getClass == r.getClass, s"$op: local $l, Spark $r")
+      assert(local("A") == ArrayD(Map.empty, 1) && sp("A") == SArr(None, 1), op)
+    }
+  }
+
   test("scalar min=/max= on Spark") {
     val st = run(
       "var lo: double = 1.0e30; var hi: double = -1.0e30; " +
