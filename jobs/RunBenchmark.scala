@@ -1,23 +1,30 @@
 package repro.jobs
 
 import org.apache.spark.sql.SparkSession
-import repro.core.Diablo
+import repro.core.{Diablo, Translate}
 import repro.programs.Benchmarks
 import repro.spark.SparkBackend
 import repro.spark.SparkBackend.{SArr, SScalar}
 
 /** spark-submit entrypoint: run one benchmark program through DIABLO on
-  * Spark and print its outputs (a sample for array outputs).
+  * Spark and print its outputs (a sample for array outputs). With
+  * `--explain`, first print the optimized target code, one statement per
+  * line.
   *
-  * usage: RunBenchmark <program-name> [scale] [seed]
+  * usage: RunBenchmark [--explain] <program-name> [scale] [seed]
   */
 object RunBenchmark {
-  def main(args: Array[String]): Unit = {
+  def main(argv: Array[String]): Unit = {
+    val explain = argv.contains("--explain")
+    val args = argv.filterNot(_ == "--explain")
     require(args.nonEmpty,
-      s"usage: RunBenchmark <name> [scale] [seed]; names: ${Benchmarks.all.map(_.name).mkString(", ")}")
+      s"usage: RunBenchmark [--explain] <name> [scale] [seed]; names: ${Benchmarks.all.map(_.name).mkString(", ")}")
     val p     = Benchmarks.byName(args(0))
     val scale = if (args.length > 1) args(1).toInt else 100
     val seed  = if (args.length > 2) args(2).toLong else 42L
+
+    val code = Diablo.compile(p.source, p.sigs)
+    if (explain) code.foreach(t => println(Translate.showStmt(t)))
 
     val spark = SparkSession.builder
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
@@ -25,7 +32,6 @@ object RunBenchmark {
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()
 
-    val code = Diablo.compile(p.source, p.sigs)
     val result = SparkBackend.run(code,
       SparkBackend.fromLocal(spark, p.data(scale, seed)), spark)
     for (o <- p.outputs) result(o) match {

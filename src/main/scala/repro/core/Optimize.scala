@@ -24,13 +24,19 @@ import Translate._
   *  - A final *reorder* pass moves predicates and let-bindings to the
   *    earliest point where their variables are bound, so backends can
   *    evaluate qualifiers strictly left-to-right.
+  *  - *Aggregation fusion*, over statements after the per-comprehension
+  *    rules: adjacent scalar global aggregates over identical qualifiers
+  *    become one assignment with one head column per target
+  *    (`fuseAggregates`).
   */
 object Optimize {
 
-  def optimize(ts: List[TStmt]): List[TStmt] = ts.map {
-    case TAssign(n, c, a) => TAssign(n, optimizeComp(c), a)
-    case TWhileS(c, b)    => TWhileS(optimizeComp(c), optimize(b))
-    case other            => other
+  def optimize(ts: List[TStmt]): List[TStmt] = fuseAggregates(optimizeComps(ts))
+
+  private def optimizeComps(ts: List[TStmt]): List[TStmt] = ts.map {
+    case TAssign(ns, c, a) => TAssign(ns, optimizeComp(c), a)
+    case TWhileS(c, b)     => TWhileS(optimizeComp(c), optimizeComps(b))
+    case other             => other
   }
 
   def optimizeComp(c: Comp): Comp = {
@@ -41,6 +47,58 @@ object Optimize {
     cur = uniqueKeyGroup(cur)
     cur = Comp(cur.head, reorder(cur.quals))
     cur
+  }
+
+  // --------------------------------------------------- aggregation fusion
+
+  /** Fuse each run of adjacent one-target scalar assignments whose
+    * comprehensions end in `group by ()` over identical qualifiers, where
+    * no member reads (`CState`) or rewrites the target of an earlier
+    * member, into one assignment `(s1, ..., sk) := { (h1, ..., hk) | quals }`.
+    * Rule (15h) and Theorem 3.1 split one loop body into one comprehension
+    * per accumulator; fusing them back is sound because every member then
+    * reads only state from before the run, whichever order runs it, and a
+    * backend computes all the reductions in one pass. Applied inside while
+    * bodies too.
+    */
+  def fuseAggregates(ts: List[TStmt]): List[TStmt] = {
+    val out = scala.collection.mutable.ListBuffer.empty[TStmt]
+    var run = List.empty[TAssign] // reversed
+    def flush(): Unit = {
+      run.reverse match {
+        case Nil     => ()
+        case List(t) => out += t
+        case members =>
+          out += TAssign(members.flatMap(_.targets),
+            Comp(CTup(members.map(_.comp.head)), members.head.comp.quals), isArray = false)
+      }
+      run = Nil
+    }
+    ts.foreach {
+      case t @ TAssign(List(n), c, false) if c.quals.lastOption.contains(QGroup(Nil, Nil)) =>
+        val earlier = run.flatMap(_.targets).toSet
+        if (!run.headOption.exists(_.comp.quals == c.quals) ||
+            (stateReads(c) + n).exists(earlier)) flush()
+        run = t :: run
+      case TWhileS(c, b) => flush(); out += TWhileS(c, fuseAggregates(b))
+      case other         => flush(); out += other
+    }
+    flush()
+    out.toList
+  }
+
+  /** The scalar state variables a comprehension reads. */
+  private def stateReads(c: Comp): Set[String] = {
+    val seen = scala.collection.mutable.Set.empty[String]
+    val exprs = c.head :: c.quals.flatMap {
+      case Gen(_, src)   => List(src)
+      case QLet(_, e)    => List(e)
+      case QPred(e)      => List(e)
+      case QGroup(_, ks) => ks
+      case _: QLookup    => Nil
+    }
+    exprs.foreach(mapExpr(_) { case CState(n) => seen += n; None; case _ => None })
+    seen.toSet
   }
 
   // ------------------------------------------------- §3.6 range elimination

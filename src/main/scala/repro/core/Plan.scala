@@ -1,6 +1,7 @@
 package repro.core
 
 import Comprehension._
+import Translate.TAssign
 
 /** The operator plan of an optimized comprehension, shared by the local and
   * Spark backends: both interpret `ops` left to right and then evaluate the
@@ -14,7 +15,9 @@ import Comprehension._
   * group-by becomes an `Aggregate` over the reductions extracted from the
   * head; the post-group operators and the reduction-free head follow it.
   * The head of an array assignment is flattened to its key and value
-  * columns; any other head is one column.
+  * columns, that of a k-target scalar assignment (k > 1) to one column per
+  * target; any other head is one column, so a tuple-valued scalar such as
+  * `m min= (V[i], i)` stays one column.
   *
   * A `Lookup` is the old-value read of rule (15a): it reads the
   * assignment's target at the head's key columns and is the last operator.
@@ -68,11 +71,15 @@ object Plan {
   final case class Aggregate(kvars: List[String], keys: List[CExpr],
                              reductions: List[(String, Monoid, CExpr)]) extends Op
 
+  /** Plan an assignment's comprehension. */
+  def of(t: TAssign): Plan =
+    of(t.comp, Option.when(t.isArray)(t.targets.head), t.targets.size)
+
   /** Plan a comprehension; `target` is the array an array assignment
-    * writes.
+    * writes, `width` the number of scalar targets.
     */
-  def of(c: Comp, target: Option[String] = None): Plan = {
-    val p = build(c, target.isDefined)
+  def of(c: Comp, target: Option[String] = None, width: Int = 1): Plan = {
+    val p = build(c, target.isDefined, width)
     p.ops.collect { case l: Lookup => l }.foreach { l =>
       require((l eq p.ops.last) && target.contains(l.arr) &&
           p.head.init == l.keyVars.map(CVar),
@@ -83,8 +90,15 @@ object Plan {
     p
   }
 
-  private def build(c: Comp, isArray: Boolean): Plan = {
-    def cols(head: CExpr) = if (isArray) headColumns(head) else List(head)
+  private def build(c: Comp, isArray: Boolean, width: Int): Plan = {
+    def cols(head: CExpr) =
+      if (isArray) headColumns(head)
+      else if (width == 1) List(head)
+      else {
+        val cs = headColumns(head)
+        require(cs.length == width, s"${cs.length} head columns for $width targets")
+        cs
+      }
     splitAtGroup(c.quals) match {
       case None => Plan(ops(c.quals, Set.empty), cols(c.head))
       case Some((pre, QGroup(kvars, keys), post)) =>

@@ -18,10 +18,17 @@ object Translate {
   sealed trait TStmt
   /** Declare an empty array (vector/map: 1 key, matrix: 2 keys). */
   final case class TInit(name: String, keyArity: Int) extends TStmt
-  /** Scalar assignment `v := head(comp)`; array assignment
-    * `V := V ◁ comp` when `isArray`.
+  /** Array assignment `V := V ◁ comp` when `isArray` (one target);
+    * otherwise scalar assignment `(s1, ..., sk) := head(comp)`, one head
+    * column per target (a top-level tuple head when k > 1). A plain
+    * `s := e` is the one-target case; several targets come from
+    * `Optimize.fuseAggregates`.
     */
-  final case class TAssign(name: String, comp: Comp, isArray: Boolean) extends TStmt
+  final case class TAssign(targets: List[String], comp: Comp, isArray: Boolean)
+      extends TStmt {
+    require(targets.nonEmpty && (!isArray || targets.size == 1),
+      s"bad assignment targets $targets")
+  }
   /** Sequential while-loop; the condition is a (usually generator-free)
     * comprehension evaluated on the driver.
     */
@@ -29,8 +36,9 @@ object Translate {
 
   def showStmt(t: TStmt): String = t match {
     case TInit(n, ka)        => s"init $n[$ka]"
-    case TAssign(n, c, true) => s"$n := $n <| ${Comprehension.show(c)}"
-    case TAssign(n, c, false) => s"$n := ${Comprehension.show(c)}"
+    case TAssign(List(n), c, true) => s"$n := $n <| ${Comprehension.show(c)}"
+    case TAssign(List(n), c, _)    => s"$n := ${Comprehension.show(c)}"
+    case TAssign(ns, c, _)         => s"${ns.mkString("(", ", ", ")")} := ${Comprehension.show(c)}"
     case TWhileS(c, b) =>
       s"while ${Comprehension.show(c)} {\n${b.map(showStmt).mkString("\n")}\n}"
   }
@@ -72,7 +80,7 @@ object Translate {
           case None =>
             sigs += name -> ScalarSig
             val (qe, v) = expr(init)
-            List(TAssign(name, Comp(v, qe), isArray = false))
+            List(TAssign(List(name), Comp(v, qe), isArray = false))
         }
 
       case Assign(LVar(n), e) => // rule (15b), variable destination
@@ -82,7 +90,7 @@ object Translate {
           case _ =>
             sigs += n -> ScalarSig
             val (qe, v) = expr(e)
-            List(TAssign(n, Comp(v, qs ++ qe), isArray = false))
+            List(TAssign(List(n), Comp(v, qs ++ qe), isArray = false))
         }
 
       case Assign(LIndex(a, idxs), e) => // rule (15b), array destination
@@ -91,14 +99,14 @@ object Translate {
           s"$a indexed with ${idxs.length} indexes but has $ka")
         val (qe, v)  = expr(e)
         val (qk, ks) = exprs(idxs)
-        List(TAssign(a, Comp(CTup(ks :+ v), qs ++ qe ++ qk), isArray = true))
+        List(TAssign(List(a), Comp(CTup(ks :+ v), qs ++ qe ++ qk), isArray = true))
 
       case IncrAssign(LVar(n), op, e) => // rule (15a), scalar destination
         val m = Monoid.ofOp(op)
         sigs += n -> ScalarSig
         val (qe, v) = expr(e)
         val head = CCombine(m, CState(n), CReduce(m, v))
-        List(TAssign(n, Comp(head, qs ++ qe :+ QGroup(Nil, Nil)), isArray = false))
+        List(TAssign(List(n), Comp(head, qs ++ qe :+ QGroup(Nil, Nil)), isArray = false))
 
       case IncrAssign(LIndex(a, idxs), op, e) => // rule (15a), array destination
         val m  = Monoid.ofOp(op)
@@ -113,7 +121,7 @@ object Translate {
                          CCombine(m, CVar(w), CReduce(m, v)))
         val quals = qs ++ qe ++ qk ++
           List(QGroup(kvars, ks), QLookup(w, a, kvars, defaultOf(m)))
-        List(TAssign(a, Comp(head, quals), isArray = true))
+        List(TAssign(List(a), Comp(head, quals), isArray = true))
 
       case ForRange(v, lo, hi, body) => // rule (15d)
         val (ql, l) = expr(lo)

@@ -150,10 +150,10 @@ object LocalBackend {
   }
 
   /** Evaluate a driver-only plan (a while condition or a pure-scalar
-    * assignment): None when a condition fails.
+    * assignment) to its row of head columns: None when a condition fails.
     */
-  def evalDriver(p: Plan, scalar: String => Any): Option[Any] =
-    new Evaluator(n => ScalarD(scalar(n)), par = false).rows(p).headOption.map(_.head)
+  def evalDriver(p: Plan, scalar: String => Any): Option[List[Any]] =
+    new Evaluator(n => ScalarD(scalar(n)), par = false).rows(p).headOption
 
   // --------------------------------------------------- comprehension eval
 
@@ -310,10 +310,11 @@ object LocalBackend {
     def exec(ts: List[TStmt]): Unit = ts.foreach {
       case TInit(n, ka) =>
         state(n) = ArrayD(Map.empty, ka)
-      case TAssign(n, comp, isArray) =>
-        val plan = Plan.of(comp, Option.when(isArray)(n))
+      case t @ TAssign(ns, _, isArray) =>
+        val plan = Plan.of(t)
         val rows = new Evaluator(state, par).rows(plan)
         if (isArray) {
+          val n = ns.head
           val (old, ka) = state.get(n) match {
             case Some(ArrayD(m, a)) => (m, a)
             case _                  => (Map.empty[List[Any], Any], plan.keyArity)
@@ -321,7 +322,8 @@ object LocalBackend {
           val newEntries = rows.iterator.map(r => (r.take(ka), r.last)).toMap
           state(n) = ArrayD(old ++ newEntries, ka) // V := V ◁ new
         } else {
-          rows.headOption.foreach(r => state(n) = ScalarD(r.head))
+          // no row (a global aggregate over nothing): targets unchanged
+          rows.headOption.foreach(r => ns.zip(r).foreach { case (n, v) => state(n) = ScalarD(v) })
         }
       case TWhileS(cond, body) =>
         val plan = Plan.of(cond)

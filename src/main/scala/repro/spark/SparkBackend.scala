@@ -1,6 +1,7 @@
 package repro.spark
 
-import org.apache.spark.sql.{Column, DataFrame, Row, SparkSession}
+import org.apache.spark.sql.{Column, DataFrame, Encoder, Encoders, Row, SparkSession}
+import org.apache.spark.sql.expressions.Aggregator
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types._
 import repro.core.Comprehension._
@@ -19,13 +20,15 @@ import repro.local.LocalBackend.{ArrayD, Data, Rec, ScalarD}
   *    KMeans' points × centroids);
   *  - a group-by becomes `groupBy(keys).agg(...)` with one aggregate per
   *    extracted reduction (an empty key gives a global aggregate — the
-  *    backend form of rule 16);
+  *    backend form of rule 16 — which yields no row over no input rows);
   *  - the array merge `◁` is a full-outer join with the old array, keys
   *    `coalesce(new, old)`; when the plan reads the target's old values
   *    (the lookup of rule (15a), keyed by the head's keys), that same join
   *    is the lookup: the old value, or the monoid identity, feeds the head,
   *    and a key with no new row keeps its old value;
-  *  - scalars live on the driver; while-loops run on the driver.
+  *  - scalars live on the driver, each target of a (fused) scalar
+  *    assignment set from one column of its one result row; while-loops
+  *    run on the driver.
   *
   * Array assignments are materialized eagerly (`localCheckpoint`) so
   * iterative programs do not accumulate lineage.
@@ -89,6 +92,23 @@ object SparkBackend {
   }
 
   // --------------------------------------------------------- compilation
+
+  /** `*=` as a constant-memory aggregate that keeps the element type:
+    * nulls are skipped and an empty group gives one.
+    */
+  private final class Product[T >: Null](one: T, times: (T, T) => T, enc: Encoder[T])
+      extends Aggregator[T, T, T] {
+    def zero: T = one
+    def reduce(b: T, a: T): T = if (a == null) b else times(b, a)
+    def merge(x: T, y: T): T = times(x, y)
+    def finish(r: T): T = r
+    def bufferEncoder: Encoder[T] = enc
+    def outputEncoder: Encoder[T] = enc
+  }
+  private lazy val longProduct = udaf(new Product[java.lang.Long](
+    1L, (a, b) => a * b, Encoders.LONG), Encoders.LONG)
+  private lazy val doubleProduct = udaf(new Product[java.lang.Double](
+    1.0, (a, b) => a * b, Encoders.DOUBLE), Encoders.DOUBLE)
 
   private final class Compiler(spark: SparkSession,
                                state: collection.Map[String, SValue]) {
@@ -159,7 +179,10 @@ object SparkBackend {
 
     private def aggOf(m: Monoid, c: Column, dt: DataType): Column = m match {
       case MSum  => coalesce(sum(c), lit(0))
-      case MProd => aggregate(collect_list(c), lit(1).cast(dt), (acc, x) => acc * x)
+      case MProd => dt match {
+        case LongType => longProduct(c)
+        case _        => doubleProduct(c.cast(DoubleType)).cast(dt)
+      }
       case MAnd  => coalesce(min(c), lit(true))
       case MOr   => coalesce(max(c), lit(false))
       case MMin  => min(c)
@@ -247,8 +270,13 @@ object SparkBackend {
           val aggs = redArgs.map { case (_, m, argN, outN) =>
             aggOf(m, col(argN), base.schema(argN).dataType).as(outN) }
           val grouped =
-            if (keyNames.isEmpty) base.agg(aggs.head, aggs.tail: _*)
-            else base.groupBy(keyNames.map(col): _*).agg(aggs.head, aggs.tail: _*)
+            if (keyNames.isEmpty) {
+              // Spark's global aggregate yields a row even over no input
+              // rows; the plan's group by () has no group then, so the
+              // targets stay unchanged, as on the local backend
+              val cnt = fresh()
+              base.agg(count(lit(1)).as(cnt), aggs: _*).filter(col(cnt) > 0)
+            } else base.groupBy(keyNames.map(col): _*).agg(aggs.head, aggs.tail: _*)
           cur = Some(grouped)
           env = kvars.zip(keyNames).toMap ++
             redArgs.map { case (rv, _, _, outN) => rv -> outN }
@@ -319,13 +347,17 @@ object SparkBackend {
     def exec(ts: List[TStmt]): Unit = ts.foreach {
       case TInit(nm, ka) => state(nm) = SArr(None, ka)
 
-      case TAssign(nm, comp, isArray) =>
-        val plan = Plan.of(comp, Option.when(isArray)(nm))
+      case t @ TAssign(nms, _, isArray) =>
+        val plan = Plan.of(t)
+        // no row (a global aggregate over nothing): targets unchanged
+        def assign(row: List[Any]): Unit =
+          nms.zip(row).foreach { case (n, v) => state(n) = SScalar(v) }
         if (!isArray && plan.driverOnly) {
-          LocalBackend.evalDriver(plan, scalar).foreach(v => state(nm) = SScalar(v))
+          LocalBackend.evalDriver(plan, scalar).foreach(assign)
         } else {
           val compiled = new Compiler(spark, state).compile(plan)
           if (isArray) {
+            val nm = nms.head
             val ka = state.get(nm) match {
               case Some(SArr(_, a)) => a
               case _                => plan.keyArity
@@ -344,10 +376,9 @@ object SparkBackend {
             }
           } else {
             compiled.foreach { df =>
-              val rows = df.collect()
-              if (rows.nonEmpty)
-                state(nm) = SScalar(
-                  fromSparkValue(rows(0).get(0), df.schema.head.dataType))
+              df.collect().headOption.foreach(r => assign(
+                df.schema.fields.toList.zipWithIndex.map { case (f, i) =>
+                  fromSparkValue(r.get(i), f.dataType) }))
             }
           }
         }
@@ -356,7 +387,7 @@ object SparkBackend {
         val plan = Plan.of(cond)
         def test(): Boolean = {
           val v =
-            if (plan.driverOnly) LocalBackend.evalDriver(plan, scalar)
+            if (plan.driverOnly) LocalBackend.evalDriver(plan, scalar).map(_.head)
             else new Compiler(spark, state).compile(plan)
               .flatMap(df => df.collect().headOption.map(_.get(0)))
           v.exists(_.asInstanceOf[Boolean])

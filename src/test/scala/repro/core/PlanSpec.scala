@@ -14,7 +14,7 @@ class PlanSpec extends AnyFunSuite {
   private def plans(name: String): List[(String, Plan)] = {
     val p = Benchmarks.byName(name)
     Diablo.compile(p.source, p.sigs).collect {
-      case TAssign(n, c, a) => n -> Plan.of(c, Option.when(a)(n))
+      case t @ TAssign(ns, _, _) => ns.mkString(",") -> Plan.of(t)
     }
   }
   private def scans(p: Plan): List[Scan] = p.ops.collect { case s: Scan => s }
@@ -58,7 +58,7 @@ class PlanSpec extends AnyFunSuite {
   test("a group by () program yields Aggregate(Nil, ...)") {
     val code = Diablo.compile("var s: double = 0.0; for v in V do s += v;",
       Map("V" -> ArraySig(1)))
-    val p = Plan.of(code.collect { case TAssign("s", c, _) => c }.last)
+    val p = Plan.of(code.collect { case TAssign(List("s"), c, _) => c }.last)
     val Some(Aggregate(Nil, Nil, List((r, MSum, CVar(_))))) =
       p.ops.collectFirst { case a: Aggregate => a }
     assert(p.head == List(CCombine(MSum, CState("s"), CVar(r))))
@@ -76,6 +76,20 @@ class PlanSpec extends AnyFunSuite {
       Scan("B", List("j"), "b", List(0 -> CVar("i")),
         List(CBin("==", CVar("j"), CVar("i"))))))
     assert(p.keyArity == 1)
+  }
+
+  test("a fused scalar assignment has one column per target; a tuple value stays one") {
+    val code = Diablo.compile(
+      "var m: (double,long) = (1.0e30, 0); var s: double = 0.0; " +
+      "for v in V do { m min= (v, 1); s += v; };", Map("V" -> ArraySig(1)))
+    val Some(t) = code.collectFirst { case t @ TAssign(List("m", "s"), _, false) => t }
+    val p = Plan.of(t)
+    val Some(Aggregate(Nil, Nil, List((rm, MMin, CTup(_)), (rs, MSum, CVar(_))))) =
+      p.ops.collectFirst { case a: Aggregate => a }
+    assert(p.head == List(CCombine(MMin, CState("m"), CVar(rm)),
+      CCombine(MSum, CState("s"), CVar(rs))))
+    val e = intercept[IllegalArgumentException](Plan.of(t.copy(targets = List("m", "s", "x"))))
+    assert(e.getMessage.contains("2 head columns for 3 targets"))
   }
 
   test("a generator-free comprehension is driver-only") {

@@ -26,14 +26,14 @@ class TranslateSpec extends AnyFunSuite {
   // ----------------------------------------------- §3.9 example shapes
 
   test("non-incremental vector copy (§3.9): merge assignment, no group-by") {
-    val List(TAssign("V", c, true)) = tr("for i = 1, 10 do V[i] := W[i];", vecVW): @unchecked
+    val List(TAssign(List("V"), c, true)) = tr("for i = 1, 10 do V[i] := W[i];", vecVW): @unchecked
     assert(groups(c).isEmpty)
     assert(gens(c).exists { case Gen(_, CRange(_, _)) => true; case _ => false })
     assert(gens(c).exists { case Gen(_, CArr("W")) => true; case _ => false })
   }
 
   test("incremental indirect update (§3.9): group-by plus old-value lookup") {
-    val List(TAssign("W", c, true)) =
+    val List(TAssign(List("W"), c, true)) =
       tr("for i = 1, 10 do W[K[i]] += V[i];", vecVWK): @unchecked
     assert(groups(c).size == 1)
     val List(QLookup(_, "W", _, DZero)) = lookups(c): @unchecked
@@ -46,7 +46,7 @@ class TranslateSpec extends AnyFunSuite {
     val code = tr(p.source, p.sigs)
     // init R; R[i,j] := 0 merge; R[i,j] += ... with group-by over (i,j)
     val incr = code.collect {
-      case TAssign("R", c, true) if groups(c).nonEmpty => c }
+      case TAssign(List("R"), c, true) if groups(c).nonEmpty => c }
     assert(incr.size == 1)
     val c = incr.head
     assert(groups(c).head.kvars.size == 2)
@@ -62,7 +62,7 @@ class TranslateSpec extends AnyFunSuite {
   }
 
   test("scalar increment gets a unit group-by (15a)") {
-    val List(TAssign("s", c, false)) =
+    val List(TAssign(List("s"), c, false)) =
       tr("for v in V do s += v;", vecV ++ Map("s" -> ScalarSig)): @unchecked
     assert(groups(c) == List(QGroup(Nil, Nil)))
     assert(c.head.isInstanceOf[CCombine])
@@ -92,7 +92,7 @@ class TranslateSpec extends AnyFunSuite {
   test("declarations initialize arrays and scalars") {
     val code = tr("var C: map[string,long] = map(); var x: double = 1.5;", Map.empty)
     assert(code == List(TInit("C", 1),
-      TAssign("x", Comp(CLit(1.5), Nil), false)))
+      TAssign(List("x"), Comp(CLit(1.5), Nil), false)))
   }
 
   test("monoid defaults follow the operation") {
@@ -140,7 +140,7 @@ class TranslateSpec extends AnyFunSuite {
   // ----------------------------------------------------------- optimizer
 
   test("range elimination: V[i] := W[i] becomes a traversal with inRange") {
-    val List(TAssign("V", c, true)) = opt("for i = 1, 10 do V[i] := W[i];", vecVW): @unchecked
+    val List(TAssign(List("V"), c, true)) = opt("for i = 1, 10 do V[i] := W[i];", vecVW): @unchecked
     assert(!gens(c).exists { case Gen(_, CRange(_, _)) => true; case _ => false },
       s"range not eliminated: ${Comprehension.show(c)}")
     // the bound filters remain
@@ -149,7 +149,7 @@ class TranslateSpec extends AnyFunSuite {
   }
 
   test("rule 17: unique-key group-by is removed for V[i] += W[i]") {
-    val List(TAssign("V", c, true)) = opt("for i = 1, 10 do V[i] += W[i];", vecVW): @unchecked
+    val List(TAssign(List("V"), c, true)) = opt("for i = 1, 10 do V[i] += W[i];", vecVW): @unchecked
     assert(groups(c).isEmpty, s"group-by not removed: ${Comprehension.show(c)}")
     // reduction degenerated: no CReduce remains in the head
     def hasReduce(e: CExpr): Boolean = e match {
@@ -165,12 +165,12 @@ class TranslateSpec extends AnyFunSuite {
   test("rule 17 does not fire for a non-unique key (word count)") {
     val p = repro.programs.Benchmarks.wordCount
     val code = Diablo.compile(p.source, p.sigs)
-    val withGroup = code.collect { case TAssign("C", c, true) => groups(c) }
+    val withGroup = code.collect { case TAssign(List("C"), c, true) => groups(c) }
     assert(withGroup.flatten.nonEmpty)
   }
 
   test("rule 16: constant group-by key becomes a unit group") {
-    val List(_, TAssign("M", c, true)) =
+    val List(_, TAssign(List("M"), c, true)) =
       opt("var M: matrix[double] = matrix(); M[1,2] += 1.0;", Map.empty): @unchecked
     assert(groups(c) == List(QGroup(Nil, Nil)))
   }
@@ -179,7 +179,7 @@ class TranslateSpec extends AnyFunSuite {
     val p = repro.programs.Benchmarks.matrixMultiplication
     val code = Diablo.compile(p.source, p.sigs)
     val incr = code.collect {
-      case TAssign("R", c, true) if lookups(c).nonEmpty => c }.head
+      case TAssign(List("R"), c, true) if lookups(c).nonEmpty => c }.head
     assert(!gens(incr).exists { case Gen(_, CRange(_, _)) => true; case _ => false })
   }
 

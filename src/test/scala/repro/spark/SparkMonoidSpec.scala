@@ -53,6 +53,24 @@ class SparkMonoidSpec extends SparkSpec {
     }
   }
 
+  test("a constant-key update over no rows leaves the array unchanged, for every monoid") {
+    // rule 16 turns A[0] into group by () plus a let: Spark's global
+    // aggregate must not make a group out of no rows
+    val cases = List(("long", "+=", "1"), ("double", "*=", "v"),
+      ("bool", "&&=", "v > 0.0"), ("bool", "||=", "v > 0.0"),
+      ("double", "min=", "v"), ("long", "max=", "2"))
+    val sigs = Map("V" -> ArraySig(1))
+    val data = Map[String, Data]("V" -> vec(0L -> 1.0, 1L -> 2.0))
+    for ((tpe, op, e) <- cases; bound <- List("100.0", "1.5")) {
+      val src = s"var A: vector[$tpe] = vector(); for v in V do if (v > $bound) A[0] $op $e;"
+      val local = LocalBackend.run(Diablo.compile(src, sigs), data)("A").asInstanceOf[ArrayD].m
+      val sp = dfToArray(outDF(run(src, sigs, data), "A"), 1).m
+      assert(sp == local, s"$op over v > $bound")
+      for ((k, v) <- local) assert(sp(k).getClass == v.getClass, s"$op: ${sp(k)} vs $v")
+      assert(local.isEmpty == (bound == "100.0"), s"$op over v > $bound: $local")
+    }
+  }
+
   test("scalar min=/max= on Spark") {
     val st = run(
       "var lo: double = 1.0e30; var hi: double = -1.0e30; " +
